@@ -1,8 +1,9 @@
-// Command experiments runs the darpanet reproduction experiments (E1–E13,
+// Command experiments runs the darpanet reproduction experiments (E1–E16,
 // one per architectural claim of Clark's 1988 design-philosophy paper,
-// plus the E12 scale run and the E13 congestion-collapse sweep on
-// generated internets) and prints their tables. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for recorded results.
+// plus the runs on generated internets that push those claims to scale,
+// failure, congestion, naming and sharding) and prints their tables.
+// See DESIGN.md for the experiment index and EXPERIMENTS.md for
+// recorded results.
 //
 // With -runs N (N > 1) each experiment becomes a Monte Carlo campaign:
 // N replicas run on seeds base..base+N-1 — in parallel across -parallel
@@ -10,55 +11,54 @@
 // never changes results, only wall time. -json exports the aggregated
 // campaign as machine-readable JSON.
 //
-// -faults overrides E11's failure schedule: a preset name (crash, flap,
-// mixed, partition), "random" (each replica seed draws its own
-// scenario), or the path of a schedule file in the internal/fault text
-// format.
+// Experiments that can be reshaped declare their own parameters
+// (internal/exp), and each becomes a flag; setting one appends it to
+// the experiment's title:
 //
-// -topo overrides E12's generated internet with an internal/topo spec
-// ("shape:key=val,..."), e.g. -topo waxman:gw=64 or
-// -topo transitstub:gw=40,stubs=9 — the scale experiment reruns on any
-// graph the generator can build.
-//
-// -workload overrides E13's traffic mix with an internal/workload spec
-// ("key=val,..."), e.g. -workload "rate=20,vj=1" to rerun the collapse
-// sweep with Van Jacobson congestion control, or
-// -workload "bulk=1,inter=0,rr=0,voice=0,naive=1" for a pure bulk
-// storm. Keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms,
-// vj, naive, ecn, onoff, on_ms, off_ms, cc.
-//
-// -qdisc selects the gateway queue policy: for E13 a single
-// internal/phys policy spec ("droptail", "red:min=64,max=256,maxp=0.1",
-// "ecn"), for E13-T a "+"-separated list restricting the tournament
-// grid. -cc does the same for the host congestion response (naive,
-// tahoe, reno, newreno). -ttopo selects the internet the tournament
-// collapses on (transitstub or waxman); the topology id is carried in
-// every tournament metric path and leaderboard entry. -leaderboard
-// writes the E13-T campaign's ranked leaderboard as
-// darpanet/tournament/v2 JSON.
-//
-// -stopo overrides E14's generated internet with an internal/topo spec
-// and -sfracs its loss sweep as comma-separated percentages, e.g.
-// -stopo transitstub:gw=6,stubs=3 -sfracs 5,10,25. -survive writes the
-// E14 campaign's survivability frontier as darpanet/survive/v1 JSON.
-//
-// -names writes the E15 campaign's per-mode naming summary (name-based
-// service continuity vs the address-pinned baseline) as
-// darpanet/names/v1 JSON.
+//   - -faults overrides E11's failure schedule: a preset name (crash,
+//     flap, mixed, partition), "random" (each replica seed draws its own
+//     scenario), or the path of a schedule file in the internal/fault
+//     text format.
+//   - -topo overrides E12's generated internet with an internal/topo
+//     spec ("shape:key=val,..."), e.g. -topo waxman:gw=64 or
+//     -topo transitstub:gw=40,stubs=9.
+//   - -workload overrides E13's traffic mix with an internal/workload
+//     spec ("key=val,..."), e.g. -workload "rate=20,vj=1" to rerun the
+//     collapse sweep with Van Jacobson congestion control. Keys: bulk,
+//     inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn,
+//     onoff, on_ms, off_ms, cc.
+//   - -qdisc selects the gateway queue policy: for E13 a single
+//     internal/phys policy spec ("droptail", "red:min=64,max=256,maxp=0.1",
+//     "ecn"), for E13-T a "+"-separated list restricting the tournament
+//     grid. -cc does the same for the host congestion response (naive,
+//     tahoe, reno, newreno).
+//   - -ttopo selects the internet the E13-T tournament collapses on
+//     (transitstub or waxman); the topology id is carried in every
+//     tournament metric path and leaderboard entry.
+//   - -stopo overrides E14's generated internet with an internal/topo
+//     spec and -sfracs its loss sweep as comma-separated percentages,
+//     e.g. -stopo transitstub:gw=6,stubs=3 -sfracs 5,10,25.
 //
 // -shards sets the worker count of the sharded experiments (E15, E16):
 // the internet is always partitioned into the same region shards, and N
 // workers advance them in lock-step epochs. Results are byte-identical
 // at every -shards value; only wall-clock changes.
 //
+// -summary DIR writes the distilled summary of every campaign in the
+// run that has one (internal/harness): E13-T's ranked leaderboard as
+// DIR/tournament.json (darpanet/tournament/v2), E14's survivability
+// frontier as DIR/survive.json (darpanet/survive/v1), and E15's naming
+// summary as DIR/names.json (darpanet/names/v1).
+//
 // Usage:
 //
-//	experiments [-seed N] [-only E1,E5] [-runs N] [-parallel N] [-json file] [-faults sched] [-topo spec] [-workload spec] [-qdisc spec] [-cc list] [-ttopo id] [-leaderboard file] [-stopo spec] [-sfracs pcts] [-survive file] [-names file] [-shards N] [-metrics]
+//	experiments [-seed N] [-only E1,E5] [-runs N] [-parallel N] [-json file] [-summary dir] [-shards N] [-metrics] [-faults sched] [-topo spec] [-workload spec] [-qdisc spec] [-cc list] [-ttopo id] [-stopo spec] [-sfracs pcts]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -66,61 +66,9 @@ import (
 	"time"
 
 	"darpanet/internal/exp"
-	"darpanet/internal/fault"
 	"darpanet/internal/harness"
 	"darpanet/internal/metrics"
-	"darpanet/internal/phys"
-	"darpanet/internal/tcp"
-	"darpanet/internal/topo"
-	"darpanet/internal/workload"
 )
-
-// parsePolicies parses a "+"-separated list of phys policy specs.
-func parsePolicies(arg string) ([]phys.PolicySpec, error) {
-	var out []phys.PolicySpec
-	for _, s := range strings.Split(arg, "+") {
-		p, err := phys.ParsePolicySpec(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// parseCCs parses a "+"-separated list of congestion-response names.
-func parseCCs(arg string) ([]string, error) {
-	var out []string
-	for _, s := range strings.Split(arg, "+") {
-		s = strings.TrimSpace(s)
-		if tcp.CCByName(s) == nil {
-			return nil, fmt.Errorf("-cc %q: want one of %s", s, strings.Join(tcp.CCNames(), ", "))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// resolveFaults maps the -faults value to an E11 driver: a preset name,
-// the "random" keyword, or a schedule file path.
-func resolveFaults(arg string) (func(seed int64) exp.Result, error) {
-	if arg == "random" {
-		return exp.RunE11Random, nil
-	}
-	if s, ok := fault.Preset(arg); ok {
-		return exp.RunE11With(s), nil
-	}
-	text, err := os.ReadFile(arg)
-	if err != nil {
-		return nil, fmt.Errorf("-faults %q: not a preset (%s), 'random', or readable file: %v",
-			arg, strings.Join(fault.PresetNames(), ", "), err)
-	}
-	s, err := fault.Parse(filepath.Base(arg), string(text))
-	if err != nil {
-		return nil, err
-	}
-	return exp.RunE11With(s), nil
-}
 
 func main() {
 	seed := flag.Int64("seed", 1988, "base simulation seed (replica i runs on seed+i)")
@@ -128,161 +76,50 @@ func main() {
 	runs := flag.Int("runs", 1, "replicas per experiment (a Monte Carlo campaign when > 1)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "campaign worker-pool size (affects wall time only, never results)")
 	jsonOut := flag.String("json", "", "write aggregated campaign results to this file as JSON")
+	summaryDir := flag.String("summary", "", "write each campaign's distilled summary (tournament.json, survive.json, names.json) into this directory")
 	showMetrics := flag.Bool("metrics", false, "after each single-run table, dump the per-layer counter registry as a tree")
-	faults := flag.String("faults", "", "E11 fault schedule: a preset ("+strings.Join(fault.PresetNames(), ", ")+"), 'random', or a schedule file")
-	topoSpec := flag.String("topo", "", "E12 topology spec, 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman)")
-	workloadSpec := flag.String("workload", "", "E13 traffic mix, 'key=val,...' (keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn, onoff, on_ms, off_ms, cc)")
-	qdisc := flag.String("qdisc", "", "gateway queue policy: E13 takes one spec (droptail|red|ecn[:k=v,...]), E13-T a '+'-separated grid restriction")
-	ccFlag := flag.String("cc", "", "host congestion response: E13 takes one name (naive|tahoe|reno|newreno), E13-T a '+'-separated grid restriction")
-	tTopo := flag.String("ttopo", "", "E13-T topology id: transitstub (default) or waxman; carried in every tournament metric path")
-	leaderboard := flag.String("leaderboard", "", "write the E13-T campaign's ranked leaderboard to this file as darpanet/tournament/v2 JSON")
-	sTopo := flag.String("stopo", "", "E14 topology spec, 'shape:key=val,...' (same syntax as -topo)")
-	sFracs := flag.String("sfracs", "", "E14 loss sweep as comma-separated percentages of infrastructure lost, e.g. '2,5,10,20'")
-	surviveOut := flag.String("survive", "", "write the E14 campaign's survivability frontier to this file as darpanet/survive/v1 JSON")
-	namesOut := flag.String("names", "", "write the E15 campaign's naming summary to this file as darpanet/names/v1 JSON")
-	shards := flag.Int("shards", 1, "E15/E16 worker count (results are byte-identical at any value; only wall time changes)")
+	shards := flag.Int("shards", 1, "worker count of the sharded experiments (results are byte-identical at any value; only wall time changes)")
+	params := map[string]*string{}
+	for _, e := range exp.All {
+		for _, p := range e.Params {
+			if params[p.Name] == nil {
+				params[p.Name] = flag.String(p.Name, "", p.Usage)
+			}
+		}
+	}
 	flag.Parse()
 
-	e11Run := exp.RunE11
-	if *faults != "" {
-		var err error
-		if e11Run, err = resolveFaults(*faults); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	vals := make(map[string]string, len(params))
+	for name, v := range params {
+		vals[name] = *v
 	}
-	e12Run := exp.RunE12
-	if *topoSpec != "" {
-		spec, err := topo.ParseSpec(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e12Run = exp.RunE12With(spec)
-	}
-	policies, err := parsePolicies(nonEmpty(*qdisc, "droptail+red+ecn"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ccs, err := parseCCs(nonEmpty(*ccFlag, "naive+tahoe+reno+newreno"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	e13Run := exp.RunE13
-	if *workloadSpec != "" || *qdisc != "" || *ccFlag != "" {
-		ws := exp.E13Workload()
-		if *workloadSpec != "" {
-			if ws, err = workload.ParseSpec(*workloadSpec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		if *ccFlag != "" {
-			ws.CC = ccs[0] // E13 is a single cell: first named response wins
-			ws.ECN = policies[0].Kind == phys.PolicyECN
-		}
-		e13Run = exp.RunE13Policy(ws, policies[0])
-	}
-
-	e13tRun := exp.RunE13T
-	if *qdisc != "" || *ccFlag != "" || *tTopo != "" {
-		var cells []exp.E13TCell
-		for _, p := range policies {
-			for _, cc := range ccs {
-				cells = append(cells, exp.E13TCell{Policy: p, CC: cc})
-			}
-		}
-		if e13tRun, err = exp.RunE13TGrid(*tTopo, cells, nil, 0, 0); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	e14Run := exp.RunE14
-	if *sTopo != "" || *sFracs != "" {
-		var spec topo.Spec
-		if *sTopo != "" {
-			var err error
-			if spec, err = topo.ParseSpec(*sTopo); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		fracs, err := parseFracs(*sFracs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e14Run = exp.RunE14With(spec, fracs)
-	}
-
 	want := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
 			want[strings.TrimSpace(strings.ToUpper(id))] = true
 		}
 	}
+	// Bind every experiment, selected or not, so a malformed value is
+	// an error whatever -only says.
+	var selected []exp.Experiment
+	for _, e := range exp.All {
+		e, err := e.With(vals, *shards)
+		if err != nil {
+			fail(err)
+		}
+		if len(want) == 0 || want[e.ID] {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fail(fmt.Errorf("no experiments matched -only"))
+	}
 
 	fmt.Printf("darpanet experiment suite — base seed %d, %d run(s) per experiment\n", *seed, *runs)
 	fmt.Printf("reproducing: Clark, \"The Design Philosophy of the DARPA Internet Protocols\", SIGCOMM 1988\n\n")
 
 	var reports []*harness.Report
-	ran := 0
-	for _, e := range exp.All {
-		if len(want) > 0 && !want[e.ID] {
-			continue
-		}
-		if e.ID == "E11" {
-			e.Run = e11Run
-			if *faults != "" {
-				e.Title += " [-faults " + *faults + "]"
-			}
-		}
-		if e.ID == "E12" {
-			e.Run = e12Run
-			if *topoSpec != "" {
-				e.Title += " [-topo " + *topoSpec + "]"
-			}
-		}
-		if e.ID == "E13" {
-			e.Run = e13Run
-			if *workloadSpec != "" {
-				e.Title += " [-workload " + *workloadSpec + "]"
-			}
-			if *qdisc != "" {
-				e.Title += " [-qdisc " + *qdisc + "]"
-			}
-		}
-		if e.ID == "E13-T" {
-			e.Run = e13tRun
-			if *qdisc != "" || *ccFlag != "" {
-				e.Title += fmt.Sprintf(" [%d-cell grid]", len(policies)*len(ccs))
-			}
-			if *tTopo != "" {
-				e.Title += " [-ttopo " + *tTopo + "]"
-			}
-		}
-		if e.ID == "E14" {
-			e.Run = e14Run
-			if *sTopo != "" {
-				e.Title += " [-stopo " + *sTopo + "]"
-			}
-			if *sFracs != "" {
-				e.Title += " [-sfracs " + *sFracs + "]"
-			}
-		}
-		// No title suffix for -shards: the worker count must not leave a
-		// trace in the report, which is compared byte for byte across
-		// shard counts.
-		if e.ID == "E15" && *shards != 1 {
-			e.Run = exp.RunE15Workers(*shards)
-		}
-		if e.ID == "E16" && *shards != 1 {
-			e.Run = exp.RunE16Workers(*shards)
-		}
+	for _, e := range selected {
 		start := time.Now()
 		c := harness.Campaign{
 			Runs:     *runs,
@@ -320,152 +157,59 @@ func main() {
 			fmt.Printf("FAILED replica seed %d: %s\n", f.Seed, f.Error)
 		}
 		fmt.Printf("(%s wall time: %.1fs)\n\n", e.ID, time.Since(start).Seconds())
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintln(os.Stderr, "no experiments matched -only")
-		os.Exit(1)
 	}
 
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteJSON(f, *seed, *runs, reports); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		writeFile(*jsonOut, func(w io.Writer) error { return harness.WriteJSON(w, *seed, *runs, reports) })
 		fmt.Printf("wrote %s (%d experiment campaign(s), schema darpanet/campaign/v1)\n", *jsonOut, len(reports))
 	}
 
-	if *leaderboard != "" {
-		var t *harness.Tournament
+	if *summaryDir != "" {
+		if err := os.MkdirAll(*summaryDir, 0o755); err != nil {
+			fail(err)
+		}
+		wrote := 0
 		for _, rep := range reports {
-			if rep.ID == "E13-T" {
-				t = harness.BuildTournament(rep)
-				break
+			d, ok := harness.Distillers[rep.ID]
+			if !ok {
+				continue
 			}
-		}
-		if t == nil || len(t.Entries) == 0 {
-			fmt.Fprintln(os.Stderr, "-leaderboard: no E13-T campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*leaderboard)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteTournamentJSON(f, t); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-cell leaderboard, schema darpanet/tournament/v2)\n", *leaderboard, len(t.Entries))
-		for _, e := range t.Entries {
-			fmt.Printf("  #%d %-28s score %.3f (collapse %.2f, peak %.2f Mb/s, jain %.3f)\n",
-				e.Rank, e.Name, e.Score, e.CollapseRatio, e.PeakGoodputBps/1e6, e.Jain)
-		}
-	}
-
-	if *surviveOut != "" {
-		var fr *harness.Frontier
-		for _, rep := range reports {
-			if rep.ID == "E14" {
-				fr = harness.BuildFrontier(rep)
-				break
+			s := d.Build(rep)
+			lines := s.Lines()
+			if len(lines) == 0 {
+				fail(fmt.Errorf("-summary: the %s campaign distilled to no rows", rep.ID))
 			}
-		}
-		if fr == nil || len(fr.Rows) == 0 {
-			fmt.Fprintln(os.Stderr, "-survive: no E14 campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*surviveOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteFrontierJSON(f, fr); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-row frontier, schema darpanet/survive/v1)\n", *surviveOut, len(fr.Rows))
-		for _, r := range fr.Rows {
-			fmt.Printf("  %-8s %5.1f%% lost: goodput %.2f of baseline, %.1f partitions, largest %.2f\n",
-				r.Mode, r.LostPct, r.GoodputFrac, r.Partitions, r.LargestFrac)
-		}
-	}
-
-	if *namesOut != "" {
-		var nr *harness.NamesReport
-		for _, rep := range reports {
-			if rep.ID == "E15" {
-				nr = harness.BuildNames(rep)
-				break
+			path := filepath.Join(*summaryDir, d.File)
+			writeFile(path, func(w io.Writer) error { return harness.WriteSummaryJSON(w, s) })
+			fmt.Printf("wrote %s (%d rows, schema %s)\n", path, len(lines), s.Header().Schema)
+			for _, l := range lines {
+				fmt.Println("  " + l)
 			}
+			wrote++
 		}
-		if nr == nil || len(nr.Rows) == 0 {
-			fmt.Fprintln(os.Stderr, "-names: no E15 campaign in this run")
-			os.Exit(1)
-		}
-		f, err := os.Create(*namesOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := harness.WriteNamesJSON(f, nr); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d-row naming summary, schema darpanet/names/v1)\n", *namesOut, len(nr.Rows))
-		for _, r := range nr.Rows {
-			fmt.Printf("  %-5s continuity %.3f (p50 %.1fms, p90 %.1fms, cache hit %.2f, %d attempts)\n",
-				r.Mode, r.Continuity, r.ResolveP50, r.ResolveP90, r.CacheHit, int(r.Attempts))
+		if wrote == 0 {
+			fail(fmt.Errorf("-summary: no experiment in this run has a summary"))
 		}
 	}
 }
 
-// parseFracs parses a comma-separated percentage list ("2,5,10,20")
-// into fractions; empty input keeps the E14 default sweep.
-func parseFracs(arg string) ([]float64, error) {
-	if arg == "" {
-		return nil, nil
+// writeFile creates path and fills it with write, exiting on any error.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
 	}
-	var out []float64
-	for _, s := range strings.Split(arg, ",") {
-		var pct float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &pct); err != nil || pct <= 0 || pct > 100 {
-			return nil, fmt.Errorf("-sfracs %q: want percentages in (0,100], e.g. '2,5,10,20'", arg)
-		}
-		out = append(out, pct/100)
+	if err := write(f); err != nil {
+		f.Close()
+		fail(err)
 	}
-	return out, nil
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
 }
 
-// nonEmpty returns s, or fallback when s is empty.
-func nonEmpty(s, fallback string) string {
-	if s == "" {
-		return fallback
-	}
-	return s
+// fail reports err and exits with status 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

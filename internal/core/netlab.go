@@ -67,11 +67,10 @@ type Network struct {
 	// oracle instead of leaving the newcomers silently unrouted.
 	staticOracle bool
 
-	// aggregate turns on default-route collapse in the static oracle:
-	// a node whose computed routes all share one next hop gets a single
-	// 0.0.0.0/0 instead of a route per net. aggDefault remembers which
-	// nodes hold such a collapsed default so a recompute can retract it.
-	aggregate  bool
+	// aggDefault remembers which nodes InstallStaticRoutesAcross gave a
+	// collapsed 0.0.0.0/0 (one default instead of a route per net, for
+	// a node whose routes all share one next hop), so a recompute can
+	// retract it.
 	aggDefault map[*stack.Node]bool
 }
 
@@ -350,32 +349,15 @@ func (nw *Network) InstallStaticRoutes() {
 	nw.recomputeStaticRoutes()
 }
 
-// SetRouteAggregation turns default-route collapse on or off for the
-// static oracle: when on, a node whose computed next hop is the same for
-// every reachable net — a host behind one gateway, a stub gateway behind
-// one trunk — gets a single 0.0.0.0/0 route instead of one route per
-// net. On a generated 2000-gateway internet this shrinks the installed
-// route count (and recompute memory) by orders of magnitude.
-//
-// It is opt-in because collapse is visible: a collapsed node forwards
-// datagrams for *unknown* destinations toward its uplink instead of
-// reporting no-route locally. Experiments that count NoRoute drops or
-// golden-trace the small topologies keep the exact per-net tables.
-func (nw *Network) SetRouteAggregation(on bool) {
-	if nw.aggregate == on {
-		return
-	}
-	nw.aggregate = on
-	if nw.staticOracle {
-		nw.recomputeStaticRoutes()
-	}
-}
-
 // recomputeStaticRoutes drops every previously installed topology-derived
 // static route and re-runs the all-pairs computation. Static routes whose
 // prefix is not one of the topology's networks (operator-set defaults via
-// SetDefaultRoute) are left alone; collapsed defaults a previous
-// aggregated recompute installed are retracted via aggDefault.
+// SetDefaultRoute) are left alone; collapsed defaults an aggregated
+// InstallStaticRoutesAcross installed are retracted via aggDefault. The
+// per-network oracle never aggregates: collapse is visible (a collapsed
+// node forwards datagrams for unknown destinations toward its uplink
+// instead of reporting no-route locally), and experiments count NoRoute
+// drops and golden-trace the small topologies.
 //
 // The graph is flattened once per recompute into integer-indexed arrays
 // (a CSR adjacency over node indices, epoch-stamped visit marks), so the
@@ -405,7 +387,7 @@ func (nw *Network) recomputeStaticRoutes() {
 		ni := nw.nets[name]
 		nets = append(nets, oracleNet{prefix: ni.prefix, stations: ni.stations})
 	}
-	computeStaticRoutes(nodes, nets, nw.aggregate, func(n *stack.Node) { nw.aggDefault[n] = true })
+	computeStaticRoutes(nodes, nets, nil)
 }
 
 // InstallStaticRoutesAcross runs the static oracle globally over a set
@@ -465,7 +447,7 @@ func InstallStaticRoutesAcross(regions []*Network) {
 			nets[j].stations = append(nets[j].stations, ni.stations...)
 		}
 	}
-	computeStaticRoutes(nodes, nets, true, func(n *stack.Node) { owner[n].aggDefault[n] = true })
+	computeStaticRoutes(nodes, nets, func(n *stack.Node) { owner[n].aggDefault[n] = true })
 }
 
 // oracleNet is one destination network as the static oracle sees it.
@@ -488,12 +470,12 @@ type oracleNet struct {
 // stations in attach order), so the computed routes, and the order they
 // install in, match the historical per-net walk.
 //
-// With aggregate set, a node whose next hop is uniform across every
+// With noteAgg set, a node whose next hop is uniform across every
 // reachable net collapses to a single 0.0.0.0/0 route; noteAgg records
 // each node that received one so a recompute can retract it. A node
 // holding an operator default (SetDefaultRoute) to the same next hop is
 // left as-is; to a different next hop, it keeps its full table.
-func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, noteAgg func(*stack.Node)) {
+func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, noteAgg func(*stack.Node)) {
 	sort.Slice(nets, func(i, j int) bool {
 		pi, pj := nets[i].prefix, nets[j].prefix
 		if pi.Addr != pj.Addr {
@@ -589,7 +571,7 @@ func computeStaticRoutes(nodes []*stack.Node, nets []oracleNet, aggregate bool, 
 	var collapse, covered []bool
 	var uVia []ipv4.Addr
 	var uIf []int32
-	if aggregate {
+	if noteAgg != nil {
 		cnt := make([]int32, len(nodes))
 		uniform := make([]bool, len(nodes))
 		uVia = make([]ipv4.Addr, len(nodes))

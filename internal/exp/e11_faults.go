@@ -3,6 +3,9 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"darpanet/internal/core"
@@ -37,16 +40,39 @@ func DefaultE11Schedule() fault.Schedule {
 // time-to-reconverge and blackout loss.
 func RunE11(seed int64) Result { return runE11(seed, DefaultE11Schedule()) }
 
-// RunE11With returns an E11 driver bound to sched — the same scenario
-// on every replica seed (cmd/experiments -faults <preset|file>).
-func RunE11With(sched fault.Schedule) func(seed int64) Result {
-	return func(seed int64) Result { return runE11(seed, sched) }
+// paramFaults overrides E11's failure schedule.
+var paramFaults = Param{"faults", "E11 fault schedule: a preset (" + strings.Join(fault.PresetNames(), ", ") + "), 'random', or a schedule file"}
+
+// bindE11 applies -faults: a preset name, "random" (every seed draws
+// its own scenario), or the path of a schedule file in the
+// internal/fault text format — the same scenario on every replica seed.
+func bindE11(vals map[string]string, _ int) (func(seed int64) Result, string, error) {
+	arg := vals[paramFaults.Name]
+	if arg == "" {
+		return RunE11, "", nil
+	}
+	suffix := " [-faults " + arg + "]"
+	if arg == "random" {
+		return runE11Random, suffix, nil
+	}
+	sched, ok := fault.Preset(arg)
+	if !ok {
+		text, err := os.ReadFile(arg)
+		if err != nil {
+			return nil, "", fmt.Errorf("-faults %q: not a preset (%s), 'random', or readable file: %v",
+				arg, strings.Join(fault.PresetNames(), ", "), err)
+		}
+		if sched, err = fault.Parse(filepath.Base(arg), string(text)); err != nil {
+			return nil, "", fmt.Errorf("-faults %q: %v", arg, err)
+		}
+	}
+	return func(seed int64) Result { return runE11(seed, sched) }, suffix, nil
 }
 
-// RunE11Random is the Monte Carlo variant (-faults random): every seed
-// draws its own failure scenario, so a campaign explores many distinct
-// but reproducible fault sequences.
-func RunE11Random(seed int64) Result {
+// runE11Random is the Monte Carlo variant: every seed draws its own
+// failure scenario, so a campaign explores many distinct but
+// reproducible fault sequences.
+func runE11Random(seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	sched := fault.Random(rng, fault.RandomOptions{
 		Nets: []string{"n1", "n2", "n3", "n4"},

@@ -16,10 +16,21 @@ import (
 // gateways, 380 networks (topo.DefaultSpec).
 func RunE12(seed int64) Result { return runE12(seed, topo.DefaultSpec()) }
 
-// RunE12With returns an E12 driver for an arbitrary generated
-// topology — how the -topo flag reshapes the experiment.
-func RunE12With(spec topo.Spec) func(seed int64) Result {
-	return func(seed int64) Result { return runE12(seed, spec) }
+// paramTopo overrides E12's generated internet.
+var paramTopo = Param{"topo", "E12 topology spec, 'shape:key=val,...' (shapes: line, ring, tree, transitstub, waxman)"}
+
+// bindE12 applies -topo: the scale experiment reruns on any graph the
+// generator can build.
+func bindE12(vals map[string]string, _ int) (func(seed int64) Result, string, error) {
+	arg := vals[paramTopo.Name]
+	if arg == "" {
+		return RunE12, "", nil
+	}
+	spec, err := topo.ParseSpec(arg)
+	if err != nil {
+		return nil, "", fmt.Errorf("-topo %q: %v", arg, err)
+	}
+	return func(seed int64) Result { return runE12(seed, spec) }, " [-topo " + arg + "]", nil
 }
 
 // runE12 measures whether the architecture's claims survive scale: a

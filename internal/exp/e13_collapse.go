@@ -83,18 +83,45 @@ func RunE13(seed int64) Result {
 	return runE13(seed, E13Workload(), phys.PolicySpec{}, e13Loads, e13Window, e13Drain)
 }
 
-// RunE13With returns an E13 driver with the workload mix replaced — how
-// the -workload flag reshapes the experiment (e.g. vj=1 to rerun the
-// sweep with Van Jacobson's machinery and watch the cliff flatten).
-func RunE13With(ws workload.Spec) func(seed int64) Result {
-	return RunE13Policy(ws, phys.PolicySpec{})
-}
+// The gateway queue policy and host congestion response parameters
+// are shared with E13-T, which reads each as a grid restriction.
+var (
+	paramWorkload = Param{"workload", "E13 traffic mix, 'key=val,...' (keys: bulk, inter, rr, voice, rate, alpha, min, max, think_ms, vj, naive, ecn, onoff, on_ms, off_ms, cc)"}
+	paramQdisc    = Param{"qdisc", "gateway queue policy: E13 takes one spec (droptail|red|ecn[:k=v,...]), E13-T a '+'-separated grid restriction"}
+	paramCC       = Param{"cc", "host congestion response: E13 takes one name (naive|tahoe|reno|newreno), E13-T a '+'-separated grid restriction"}
+)
 
-// RunE13Policy returns an E13 driver with both the workload and the
-// gateway queue policy replaced — how the -qdisc flag turns the
-// collapse experiment into a single tournament cell.
-func RunE13Policy(ws workload.Spec, policy phys.PolicySpec) func(seed int64) Result {
-	return func(seed int64) Result { return runE13(seed, ws, policy, e13Loads, e13Window, e13Drain) }
+// bindE13 applies -workload, -qdisc and -cc: the workload mix replaced
+// (e.g. vj=1 to rerun the sweep with Van Jacobson's machinery and watch
+// the cliff flatten), and the collapse experiment turned into a single
+// tournament cell — the first named policy and response win.
+func bindE13(vals map[string]string, _ int) (func(seed int64) Result, string, error) {
+	wl, qdisc, cc := vals[paramWorkload.Name], vals[paramQdisc.Name], vals[paramCC.Name]
+	if wl == "" && qdisc == "" && cc == "" {
+		return RunE13, "", nil
+	}
+	policies, ccs, err := parseGrid(qdisc, cc)
+	if err != nil {
+		return nil, "", err
+	}
+	ws := E13Workload()
+	var suffix string
+	if wl != "" {
+		if ws, err = workload.ParseSpec(wl); err != nil {
+			return nil, "", fmt.Errorf("-workload %q: %v", wl, err)
+		}
+		suffix += " [-workload " + wl + "]"
+	}
+	if qdisc != "" {
+		suffix += " [-qdisc " + qdisc + "]"
+	}
+	if cc != "" {
+		ws.CC = ccs[0]
+		ws.ECN = policies[0].Kind == phys.PolicyECN
+		suffix += " [-cc " + cc + "]"
+	}
+	policy := policies[0]
+	return func(seed int64) Result { return runE13(seed, ws, policy, e13Loads, e13Window, e13Drain) }, suffix, nil
 }
 
 // RunE13Sweep returns a driver with full control of the sweep — the

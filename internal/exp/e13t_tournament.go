@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"darpanet/internal/phys"
 	"darpanet/internal/sim"
@@ -122,8 +123,8 @@ func RunE13T(seed int64) Result {
 
 // RunE13TGrid returns a tournament driver over a custom grid and
 // topology — how the -ttopo/-qdisc/-cc flags shape the run, and how
-// the CI smoke runs a 2×2 grid on a short sweep. An empty topoID
-// selects the default transit-stub internet.
+// the determinism test runs a 2×2 grid on a short sweep. An empty
+// topoID selects the default transit-stub internet.
 func RunE13TGrid(topoID string, cells []E13TCell, loads []float64, window, drain sim.Duration) (func(seed int64) Result, error) {
 	if topoID == "" {
 		topoID = E13TTopoTransitStub
@@ -142,6 +143,68 @@ func RunE13TGrid(topoID string, cells []E13TCell, loads []float64, window, drain
 		drain = e13tDrain
 	}
 	return func(seed int64) Result { return runE13T(seed, topoID, tspec, cells, loads, window, drain) }, nil
+}
+
+// paramTTopo selects the internet the tournament collapses on.
+var paramTTopo = Param{"ttopo", "E13-T topology id: transitstub (default) or waxman; carried in every tournament metric path"}
+
+// bindE13T applies -qdisc, -cc and -ttopo: the grid restricted to the
+// named policies and responses, on the named internet.
+func bindE13T(vals map[string]string, _ int) (func(seed int64) Result, string, error) {
+	qdisc, cc, topoID := vals[paramQdisc.Name], vals[paramCC.Name], vals[paramTTopo.Name]
+	if qdisc == "" && cc == "" && topoID == "" {
+		return RunE13T, "", nil
+	}
+	policies, ccs, err := parseGrid(qdisc, cc)
+	if err != nil {
+		return nil, "", err
+	}
+	var cells []E13TCell
+	for _, p := range policies {
+		for _, c := range ccs {
+			cells = append(cells, E13TCell{Policy: p, CC: c})
+		}
+	}
+	run, err := RunE13TGrid(topoID, cells, nil, 0, 0)
+	if err != nil {
+		return nil, "", fmt.Errorf("-ttopo %q: %v", topoID, err)
+	}
+	var suffix string
+	if qdisc != "" || cc != "" {
+		suffix += fmt.Sprintf(" [%d-cell grid]", len(cells))
+	}
+	if topoID != "" {
+		suffix += " [-ttopo " + topoID + "]"
+	}
+	return run, suffix, nil
+}
+
+// parseGrid parses the -qdisc and -cc values, each a "+"-separated
+// list; an empty value selects every policy or response.
+func parseGrid(qdisc, cc string) ([]phys.PolicySpec, []string, error) {
+	if qdisc == "" {
+		qdisc = "droptail+red+ecn"
+	}
+	if cc == "" {
+		cc = "naive+tahoe+reno+newreno"
+	}
+	var policies []phys.PolicySpec
+	for _, s := range strings.Split(qdisc, "+") {
+		p, err := phys.ParsePolicySpec(s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("-qdisc %q: %v", qdisc, err)
+		}
+		policies = append(policies, p)
+	}
+	var ccs []string
+	for _, s := range strings.Split(cc, "+") {
+		s = strings.TrimSpace(s)
+		if tcp.CCByName(s) == nil {
+			return nil, nil, fmt.Errorf("-cc %q: want one of %s", s, strings.Join(tcp.CCNames(), ", "))
+		}
+		ccs = append(ccs, s)
+	}
+	return policies, ccs, nil
 }
 
 func runE13T(seed int64, topoID string, tspec topo.Spec, cells []E13TCell, loads []float64, window, drain sim.Duration) Result {

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"darpanet/internal/fault"
@@ -71,17 +72,41 @@ func RunE14(seed int64) Result {
 	return runE14(seed, e14Topo(), E14Workload(), e14Fracs, e14Window, e14Reconv)
 }
 
-// RunE14With returns an E14 driver over a different generated internet
-// and/or loss sweep — how the -stopo / -sfracs flags reshape the
-// experiment. Zero-value arguments keep the defaults.
-func RunE14With(spec topo.Spec, fracs []float64) func(seed int64) Result {
-	if spec.Shape == "" {
-		spec = e14Topo()
+// paramSTopo and paramSFracs reshape E14's frontier: the internet
+// under attack and the loss sweep.
+var (
+	paramSTopo  = Param{"stopo", "E14 topology spec, 'shape:key=val,...' (same syntax as -topo)"}
+	paramSFracs = Param{"sfracs", "E14 loss sweep as comma-separated percentages of infrastructure lost, e.g. '2,5,10,20'"}
+)
+
+// bindE14 applies -stopo and -sfracs: the frontier swept over a
+// different generated internet and/or loss sweep.
+func bindE14(vals map[string]string, _ int) (func(seed int64) Result, string, error) {
+	stopo, sfracs := vals[paramSTopo.Name], vals[paramSFracs.Name]
+	if stopo == "" && sfracs == "" {
+		return RunE14, "", nil
 	}
-	if len(fracs) == 0 {
-		fracs = e14Fracs
+	spec, fracs := e14Topo(), e14Fracs
+	var suffix string
+	if stopo != "" {
+		var err error
+		if spec, err = topo.ParseSpec(stopo); err != nil {
+			return nil, "", fmt.Errorf("-stopo %q: %v", stopo, err)
+		}
+		suffix += " [-stopo " + stopo + "]"
 	}
-	return func(seed int64) Result { return runE14(seed, spec, E14Workload(), fracs, e14Window, e14Reconv) }
+	if sfracs != "" {
+		fracs = nil
+		for _, s := range strings.Split(sfracs, ",") {
+			var pct float64
+			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &pct); err != nil || pct <= 0 || pct > 100 {
+				return nil, "", fmt.Errorf("-sfracs %q: want percentages in (0,100], e.g. '2,5,10,20'", sfracs)
+			}
+			fracs = append(fracs, pct/100)
+		}
+		suffix += " [-sfracs " + sfracs + "]"
+	}
+	return func(seed int64) Result { return runE14(seed, spec, E14Workload(), fracs, e14Window, e14Reconv) }, suffix, nil
 }
 
 // RunE14Sweep returns a driver with full control — the campaign

@@ -74,16 +74,17 @@ func e15TCPOpts() tcp.Options { return tcp.Options{SendBufferSize: 65535} }
 func RunE15(seed int64) Result { return runE15(seed, E15Spec(), e15Regions, 1) }
 
 // RunE15With returns an E15 driver for an arbitrary spec, region count
-// and worker count — how the determinism tests pin byte-identical
-// results across worker counts on scaled-down internets.
+// and worker count — how the -shards flag reshapes the experiment, and
+// how the determinism tests pin byte-identical results across worker
+// counts on scaled-down internets.
 func RunE15With(spec topo.Spec, regions, workers int) func(seed int64) Result {
 	return func(seed int64) Result { return runE15(seed, spec, regions, workers) }
 }
 
-// RunE15Workers returns the reference E15 driver with only the worker
-// count replaced — the -shards flag.
-func RunE15Workers(workers int) func(seed int64) Result {
-	return RunE15With(E15Spec(), e15Regions, workers)
+// bindE15 applies -shards: the reference run at another worker count,
+// byte-identical to the serial one.
+func bindE15(_ map[string]string, shards int) (func(seed int64) Result, string, error) {
+	return RunE15With(E15Spec(), e15Regions, shards), "", nil
 }
 
 // e15Attempt is one scheduled resolve-then-connect: client index,

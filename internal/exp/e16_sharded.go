@@ -31,18 +31,18 @@ const e16Regions = 8
 func RunE16(seed int64) Result { return runE16(seed, E16Spec(), e16Regions, 1) }
 
 // RunE16With returns an E16 driver for an arbitrary spec, region count
-// and worker count — how the -topo16/-shards flags reshape the
-// experiment, and how the determinism tests pin byte-identical results
-// across worker counts.
+// and worker count — how the -shards flag reshapes the experiment, and
+// how the determinism tests pin byte-identical results across worker
+// counts.
 func RunE16With(spec topo.Spec, regions, workers int) func(seed int64) Result {
 	return func(seed int64) Result { return runE16(seed, spec, regions, workers) }
 }
 
-// RunE16Workers returns the reference E16 driver with only the worker
-// count replaced — the -shards flag. The region count stays at the
-// reference value, so every metric is byte-identical to the serial run.
-func RunE16Workers(workers int) func(seed int64) Result {
-	return RunE16With(E16Spec(), e16Regions, workers)
+// bindE16 applies -shards: the reference run at another worker count.
+// The region count stays at the reference value, so every metric is
+// byte-identical to the serial run.
+func bindE16(_ map[string]string, shards int) (func(seed int64) Result, string, error) {
+	return RunE16With(E16Spec(), e16Regions, shards), "", nil
 }
 
 // runE16 measures whether the architecture's invariants — and the

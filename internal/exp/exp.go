@@ -130,32 +130,68 @@ func (r Result) String() string {
 	return b.String()
 }
 
-// Experiment pairs an ID with its driver.
+// Param is one command-line parameter an experiment reads: a string
+// flag, empty unless set. Experiments that read the same parameter
+// share one declaration, so the flag is registered once.
+type Param struct {
+	Name  string
+	Usage string
+}
+
+// Experiment pairs an ID with its driver. An experiment that can be
+// reshaped from the command line lists the Params it reads, and Bind
+// maps their values to a configured driver and a title suffix naming
+// the override.
 type Experiment struct {
-	ID    string
-	Title string
-	Run   func(seed int64) Result
+	ID     string
+	Title  string
+	Run    func(seed int64) Result
+	Params []Param
+	Bind   func(vals map[string]string, shards int) (func(seed int64) Result, string, error)
+}
+
+// With returns e configured by the parameter values vals (by name; a
+// missing or empty value leaves the default) and the worker count of
+// the sharded experiments. The worker count never shows in the title:
+// it must leave no trace in a report compared byte for byte across it.
+func (e Experiment) With(vals map[string]string, shards int) (Experiment, error) {
+	if e.Bind == nil {
+		return e, nil
+	}
+	run, suffix, err := e.Bind(vals, shards)
+	if err != nil {
+		return Experiment{}, err
+	}
+	e.Run, e.Title = run, e.Title+suffix
+	return e, nil
 }
 
 // All lists the experiments in paper order.
 var All = []Experiment{
-	{"E1", "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", RunE1},
-	{"E2", "Types of service: four transports on one datagram layer", RunE2},
-	{"E3", "Varieties of networks: one TCP connection across four unlike subnets", RunE3},
-	{"E4", "Distributed management: routing convergence without central control", RunE4},
-	{"E5", "Cost of generality: header and retransmission overhead", RunE5},
-	{"E6", "Host attachment: the damage a naive host's TCP does", RunE6},
-	{"E7", "Accountability: the datagram is the wrong accounting unit", RunE7},
-	{"E8", "Datagrams need no setup: first-byte latency vs circuit establishment", RunE8},
-	{"E9", "Byte-stream sequence space: repacketization on retransmit", RunE9},
-	{"E10", "Flow/congestion control: 1988 TCP with and without Van Jacobson", RunE10},
-	{"E11", "Recovery under scripted failure: fault injection, reconvergence, blackout loss", RunE11},
-	{"E12", "Scale: convergence, forwarding cost and conservation on a generated internet", RunE12},
-	{"E13", "Congestion collapse: goodput vs offered load through the cliff", RunE13},
-	{"E13-T", "Policy tournament: gateway queue policy x host congestion response", RunE13T},
-	{"E14", "Survivability frontier: cut-set-targeted vs random failure at matched budgets", RunE14},
-	{"E15", "Names layer: service continuity by name through directory crash and renumbering", RunE15},
-	{"E16", "Sharded kernel: 2000 gateways under conservative link-delay synchronization", RunE16},
+	{ID: "E1", Title: "Survivability: fate-sharing datagrams vs virtual circuits under gateway failure", Run: RunE1},
+	{ID: "E2", Title: "Types of service: four transports on one datagram layer", Run: RunE2},
+	{ID: "E3", Title: "Varieties of networks: one TCP connection across four unlike subnets", Run: RunE3},
+	{ID: "E4", Title: "Distributed management: routing convergence without central control", Run: RunE4},
+	{ID: "E5", Title: "Cost of generality: header and retransmission overhead", Run: RunE5},
+	{ID: "E6", Title: "Host attachment: the damage a naive host's TCP does", Run: RunE6},
+	{ID: "E7", Title: "Accountability: the datagram is the wrong accounting unit", Run: RunE7},
+	{ID: "E8", Title: "Datagrams need no setup: first-byte latency vs circuit establishment", Run: RunE8},
+	{ID: "E9", Title: "Byte-stream sequence space: repacketization on retransmit", Run: RunE9},
+	{ID: "E10", Title: "Flow/congestion control: 1988 TCP with and without Van Jacobson", Run: RunE10},
+	{ID: "E11", Title: "Recovery under scripted failure: fault injection, reconvergence, blackout loss", Run: RunE11,
+		Params: []Param{paramFaults}, Bind: bindE11},
+	{ID: "E12", Title: "Scale: convergence, forwarding cost and conservation on a generated internet", Run: RunE12,
+		Params: []Param{paramTopo}, Bind: bindE12},
+	{ID: "E13", Title: "Congestion collapse: goodput vs offered load through the cliff", Run: RunE13,
+		Params: []Param{paramWorkload, paramQdisc, paramCC}, Bind: bindE13},
+	{ID: "E13-T", Title: "Policy tournament: gateway queue policy x host congestion response", Run: RunE13T,
+		Params: []Param{paramQdisc, paramCC, paramTTopo}, Bind: bindE13T},
+	{ID: "E14", Title: "Survivability frontier: cut-set-targeted vs random failure at matched budgets", Run: RunE14,
+		Params: []Param{paramSTopo, paramSFracs}, Bind: bindE14},
+	{ID: "E15", Title: "Names layer: service continuity by name through directory crash and renumbering", Run: RunE15,
+		Bind: bindE15},
+	{ID: "E16", Title: "Sharded kernel: 2000 gateways under conservative link-delay synchronization", Run: RunE16,
+		Bind: bindE16},
 }
 
 // ByID returns the experiment with the given ID.

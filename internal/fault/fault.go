@@ -104,13 +104,6 @@ func New(nw *core.Network, sched Schedule) *Injector {
 	return in
 }
 
-// SetPollInterval changes the convergence-check period.
-func (in *Injector) SetPollInterval(d sim.Duration) {
-	if d > 0 {
-		in.poll = d
-	}
-}
-
 // SetHopLimit bounds the forwarding-walk oracle at n hops. Callers who
 // know the topology diameter should set a bound just above it, so a
 // walk that exhausts the budget really is a forwarding loop (counted in

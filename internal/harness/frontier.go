@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,12 +14,8 @@ import (
 // runs) — never on worker count — so it compares byte for byte across
 // parallelism levels.
 type Frontier struct {
-	Schema   string        `json:"schema"`
-	ID       string        `json:"id"`
-	Title    string        `json:"title"`
-	BaseSeed int64         `json:"base_seed"`
-	Runs     int           `json:"runs"`
-	Rows     []FrontierRow `json:"rows"`
+	SummaryHeader
+	Rows []FrontierRow `json:"rows"`
 }
 
 // FrontierRow is one attack cell's campaign-mean outcome.
@@ -109,23 +104,19 @@ func BuildFrontier(rep *Report) *Frontier {
 		}
 		return order[i].pct < order[j].pct
 	})
-	f := &Frontier{
-		Schema:   "darpanet/survive/v1",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
+	f := &Frontier{SummaryHeader: header("darpanet/survive/v1", rep)}
 	for _, k := range order {
 		f.Rows = append(f.Rows, *cells[k])
 	}
 	return f
 }
 
-// WriteFrontierJSON writes the frontier as deterministic indented JSON
-// under the darpanet/survive/v1 schema.
-func WriteFrontierJSON(w io.Writer, f *Frontier) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(f)
+// Lines renders one console line per frontier row.
+func (f *Frontier) Lines() []string {
+	var out []string
+	for _, r := range f.Rows {
+		out = append(out, fmt.Sprintf("%-8s %5.1f%% lost: goodput %.2f of baseline, %.1f partitions, largest %.2f",
+			r.Mode, r.LostPct, r.GoodputFrac, r.Partitions, r.LargestFrac))
+	}
+	return out
 }

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -14,12 +13,8 @@ import (
 // (experiment, base seed, runs) — never on worker count — so it
 // compares byte for byte across parallelism levels and shard counts.
 type NamesReport struct {
-	Schema   string     `json:"schema"`
-	ID       string     `json:"id"`
-	Title    string     `json:"title"`
-	BaseSeed int64      `json:"base_seed"`
-	Runs     int        `json:"runs"`
-	Rows     []NamesRow `json:"rows"`
+	SummaryHeader
+	Rows []NamesRow `json:"rows"`
 }
 
 // NamesRow is one resolution mode's campaign-mean outcome.
@@ -109,23 +104,19 @@ func BuildNames(rep *Report) *NamesReport {
 	sort.SliceStable(order, func(i, j int) bool {
 		return namesModes[order[i]] < namesModes[order[j]]
 	})
-	n := &NamesReport{
-		Schema:   "darpanet/names/v1",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
+	n := &NamesReport{SummaryHeader: header("darpanet/names/v1", rep)}
 	for _, k := range order {
 		n.Rows = append(n.Rows, *rows[k])
 	}
 	return n
 }
 
-// WriteNamesJSON writes the naming summary as deterministic indented
-// JSON under the darpanet/names/v1 schema.
-func WriteNamesJSON(w io.Writer, n *NamesReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(n)
+// Lines renders one console line per resolution mode.
+func (n *NamesReport) Lines() []string {
+	var out []string
+	for _, r := range n.Rows {
+		out = append(out, fmt.Sprintf("%-5s continuity %.3f (p50 %.1fms, p90 %.1fms, cache hit %.2f, %d attempts)",
+			r.Mode, r.Continuity, r.ResolveP50, r.ResolveP90, r.CacheHit, int(r.Attempts)))
+	}
+	return out
 }

@@ -1,8 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
+	"fmt"
 	"sort"
 	"strings"
 )
@@ -14,12 +13,8 @@ import (
 // on (experiment, base seed, runs) — never on worker count — so it can
 // be compared byte for byte across parallelism levels.
 type Tournament struct {
-	Schema   string            `json:"schema"`
-	ID       string            `json:"id"`
-	Title    string            `json:"title"`
-	BaseSeed int64             `json:"base_seed"`
-	Runs     int               `json:"runs"`
-	Entries  []TournamentEntry `json:"entries"`
+	SummaryHeader
+	Entries []TournamentEntry `json:"entries"`
 }
 
 // TournamentEntry is one cell's campaign-mean outcome and composite
@@ -99,13 +94,7 @@ func BuildTournament(rep *Report) *Tournament {
 		}
 	}
 
-	t := &Tournament{
-		Schema:   "darpanet/tournament/v2",
-		ID:       rep.ID,
-		Title:    rep.Title,
-		BaseSeed: rep.BaseSeed,
-		Runs:     rep.Runs,
-	}
+	t := &Tournament{SummaryHeader: header("darpanet/tournament/v2", rep)}
 	if len(order) == 0 {
 		return t
 	}
@@ -149,10 +138,12 @@ func BuildTournament(rep *Report) *Tournament {
 	return t
 }
 
-// WriteTournamentJSON writes the leaderboard as deterministic indented
-// JSON under the darpanet/tournament/v2 schema.
-func WriteTournamentJSON(w io.Writer, t *Tournament) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
+// Lines renders one console line per leaderboard entry.
+func (t *Tournament) Lines() []string {
+	var out []string
+	for _, e := range t.Entries {
+		out = append(out, fmt.Sprintf("#%d %-28s score %.3f (collapse %.2f, peak %.2f Mb/s, jain %.3f)",
+			e.Rank, e.Name, e.Score, e.CollapseRatio, e.PeakGoodputBps/1e6, e.Jain))
+	}
+	return out
 }

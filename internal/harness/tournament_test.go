@@ -1,78 +1,11 @@
 package harness_test
 
 import (
-	"bytes"
 	"math"
 	"testing"
-	"time"
 
-	"darpanet/internal/exp"
 	"darpanet/internal/harness"
-	"darpanet/internal/phys"
-	"darpanet/internal/tcp"
 )
-
-// tournamentSmokeGrid is the 2×2 corner of the E13-T grid the CI smoke
-// runs: the era's status quo and the full RFC 3168 answer.
-func tournamentSmokeGrid() []exp.E13TCell {
-	var cells []exp.E13TCell
-	for _, kind := range []string{phys.PolicyDropTail, phys.PolicyECN} {
-		for _, cc := range []string{tcp.CCNaive, tcp.CCReno} {
-			cells = append(cells, exp.E13TCell{Policy: phys.PolicySpec{Kind: kind}, CC: cc})
-		}
-	}
-	return cells
-}
-
-// TestTournamentJSONByteIdentical is the leaderboard's acceptance
-// check: a tournament campaign aggregated at different worker counts
-// must distill to byte-identical darpanet/tournament/v2 JSON. The
-// leaderboard is built purely from campaign-mean metrics, so this
-// follows from campaign determinism — the test pins that the scoring
-// and ranking layer does not break it (no map-order or float-ordering
-// leaks).
-func TestTournamentJSONByteIdentical(t *testing.T) {
-	const runs = 3
-	run, err := exp.RunE13TGrid(exp.E13TTopoWaxman, tournamentSmokeGrid(), []float64{1, 6}, 4*time.Second, 4*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want, wantReport []byte
-	for _, workers := range []int{1, 3} {
-		rep := harness.Campaign{Runs: runs, Parallel: workers, BaseSeed: 1988}.
-			RunFunc("E13-T", "policy tournament smoke", run)
-		if len(rep.Failures) > 0 {
-			t.Fatalf("workers=%d: replica failures: %+v", workers, rep.Failures)
-		}
-		var repBuf bytes.Buffer
-		if err := harness.WriteJSON(&repBuf, 1988, runs, []*harness.Report{rep}); err != nil {
-			t.Fatal(err)
-		}
-		tour := harness.BuildTournament(rep)
-		if len(tour.Entries) != 4 {
-			t.Fatalf("workers=%d: %d leaderboard entries, want 4", workers, len(tour.Entries))
-		}
-		for _, e := range tour.Entries {
-			if e.Topo != exp.E13TTopoWaxman {
-				t.Fatalf("entry %q: topo = %q, want %q", e.Name, e.Topo, exp.E13TTopoWaxman)
-			}
-		}
-		var buf bytes.Buffer
-		if err := harness.WriteTournamentJSON(&buf, tour); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want, wantReport = append([]byte(nil), buf.Bytes()...), append([]byte(nil), repBuf.Bytes()...)
-		} else {
-			if !bytes.Equal(wantReport, repBuf.Bytes()) {
-				t.Fatal("campaign JSON diverged between worker counts")
-			}
-			if !bytes.Equal(want, buf.Bytes()) {
-				t.Fatal("tournament JSON diverged between worker counts")
-			}
-		}
-	}
-}
 
 // TestBuildTournamentRanking pins the scoring layer against a
 // hand-built report: score weights, goodput/FCT normalization, the

@@ -91,11 +91,6 @@ func (b *Buffer) Append(n int) []byte {
 	return b.data[len(b.data)-n:]
 }
 
-// AppendBytes copies p after the current contents.
-func (b *Buffer) AppendBytes(p []byte) {
-	b.data = append(b.data, p...)
-}
-
 // Clone returns an independent copy of the current packet image. Link
 // models that fan a frame out to several receivers clone it so receivers
 // cannot alias each other's storage.

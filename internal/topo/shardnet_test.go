@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"darpanet/internal/ipv4"
+	"darpanet/internal/metrics"
 )
 
 // TestPartitionQuality bounds the partitioner's load balance: no region
@@ -292,7 +293,24 @@ func BenchmarkShardedForward(b *testing.B) {
 		s.RunFor(step)
 	}
 	b.StopTimer()
-	if delivered != uint64(64+b.N) {
-		b.Fatalf("delivered %d of %d", delivered, 64+b.N)
+	// The default mix carries radio nets that drop a fraction of frames,
+	// so close the run against the frame ledger rather than demanding
+	// every datagram arrive: each one sent is delivered or lost by a
+	// medium, and nothing is lost any other way.
+	otherLoss := []string{"nic/tx_drops", "nic/rx_down", "nic/rx_no_recv",
+		"medium/queue_drops", "medium/lost_down", "medium/no_match",
+		"ip/in_hdr_errors", "ip/ttl_drops", "ip/no_route", "ip/no_proto", "ip/iface_down"}
+	var lost uint64
+	for _, nw := range s.Regions {
+		snap := metrics.For(nw.Kernel()).Snapshot()
+		lost += snap.Sum("nic/rx_lost")
+		for _, c := range otherLoss {
+			if n := snap.Sum(c); n != 0 {
+				b.Fatalf("%s = %d, want 0", c, n)
+			}
+		}
+	}
+	if sent := uint64(64 + b.N); delivered+lost != sent {
+		b.Fatalf("delivered %d + lost by media %d != sent %d", delivered, lost, sent)
 	}
 }

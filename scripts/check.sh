@@ -41,38 +41,37 @@ go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
 go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
 go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
 go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
-# Metrics determinism: the campaign JSON (which now embeds the full
-# per-layer counter registry as ctr/ metrics) must be byte-identical no
-# matter how many workers ran the replicas.
+# Determinism smokes through the CLI. Each case runs the experiments
+# binary twice with the same arguments and one varying flag, and the
+# named export must be byte-identical across the two: campaign.json is
+# the -json export (which embeds the full per-layer counter registry as
+# ctr/ metrics), any other file is written by -summary. The cases: E5
+# at any -parallel; the E13-T 2x2 tournament grid (topology axis pinned)
+# and the E14 survivability frontier on a small internet at any
+# -parallel; the 2000-gateway E16 sharded kernel at any -shards (the
+# conservative-sync acceptance check); and E15's naming summary at any
+# -parallel and any -shards (directory traffic crosses the shard seams).
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/experiments -only E5 -runs 4 -parallel 1 -json "$tmpdir/p1.json" > /dev/null
-go run ./cmd/experiments -only E5 -runs 4 -parallel "$(nproc)" -json "$tmpdir/pn.json" > /dev/null
-cmp "$tmpdir/p1.json" "$tmpdir/pn.json"
-# E13-T smoke: a 2x2 tournament cell grid through the CLI (with the
-# topology axis pinned explicitly), the ranked leaderboard required
-# byte-identical at any worker count.
-go run ./cmd/experiments -only E13-T -ttopo transitstub -qdisc 'droptail+ecn' -cc 'naive+newreno' -runs 2 -seed 1988 -parallel 1 -leaderboard "$tmpdir/lb1.json" > /dev/null
-go run ./cmd/experiments -only E13-T -ttopo transitstub -qdisc 'droptail+ecn' -cc 'naive+newreno' -runs 2 -seed 1988 -parallel 3 -leaderboard "$tmpdir/lb3.json" > /dev/null
-cmp "$tmpdir/lb1.json" "$tmpdir/lb3.json"
-# E14 smoke: targeted-vs-random fault campaigns on a small internet,
-# with the survivability frontier required byte-identical at any worker
-# count.
-go run ./cmd/experiments -only E14 -stopo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -sfracs '10,20' -runs 2 -seed 1988 -parallel 1 -survive "$tmpdir/sf1.json" > /dev/null
-go run ./cmd/experiments -only E14 -stopo 'transitstub:gw=3,stubs=2,hosts=1,mix=0' -sfracs '10,20' -runs 2 -seed 1988 -parallel 3 -survive "$tmpdir/sf3.json" > /dev/null
-cmp "$tmpdir/sf1.json" "$tmpdir/sf3.json"
-# E16 smoke: the 2000-gateway sharded kernel end to end through the
-# CLI; the campaign JSON must be byte-identical at any -shards value —
-# the conservative-sync acceptance check.
-go run ./cmd/experiments -only E16 -seed 1988 -shards 1 -json "$tmpdir/e16-s1.json" > /dev/null
-go run ./cmd/experiments -only E16 -seed 1988 -shards 4 -json "$tmpdir/e16-s4.json" > /dev/null
-cmp "$tmpdir/e16-s1.json" "$tmpdir/e16-s4.json"
-# E15 smoke: name-based service continuity through a directory crash;
-# the darpanet/names/v1 export must be byte-identical at any -parallel
-# AND any -shards value (directory traffic crosses the shard seams).
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 1 -names "$tmpdir/n-p1.json" > /dev/null
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 3 -names "$tmpdir/n-p3.json" > /dev/null
-cmp "$tmpdir/n-p1.json" "$tmpdir/n-p3.json"
-go run ./cmd/experiments -only E15 -runs 2 -seed 1988 -parallel 1 -shards 2 -names "$tmpdir/n-s2.json" > /dev/null
-cmp "$tmpdir/n-p1.json" "$tmpdir/n-s2.json"
+go build -o "$tmpdir/experiments" ./cmd/experiments
+n=0
+while IFS='|' read -r file args vary1 vary2; do
+    n=$((n + 1))
+    for v in 1 2; do
+        out="$tmpdir/$n-$v"
+        mkdir "$out"
+        if [ "$file" = campaign.json ]; then dest="-json $out/$file"; else dest="-summary $out"; fi
+        if [ "$v" = 1 ]; then vary="$vary1"; else vary="$vary2"; fi
+        # Unquoted on purpose: each column is a list of arguments.
+        "$tmpdir/experiments" $args $vary $dest < /dev/null > /dev/null
+    done
+    cmp "$tmpdir/$n-1/$file" "$tmpdir/$n-2/$file"
+done <<CASES
+campaign.json|-only E5 -runs 4|-parallel 1|-parallel $(nproc)
+tournament.json|-only E13-T -ttopo transitstub -qdisc droptail+ecn -cc naive+newreno -runs 2 -seed 1988|-parallel 1|-parallel 3
+survive.json|-only E14 -stopo transitstub:gw=3,stubs=2,hosts=1,mix=0 -sfracs 10,20 -runs 2 -seed 1988|-parallel 1|-parallel 3
+campaign.json|-only E16 -seed 1988|-shards 1|-shards 4
+names.json|-only E15 -runs 2 -seed 1988|-parallel 1|-parallel 3
+names.json|-only E15 -runs 2 -seed 1988|-parallel 1|-parallel 1 -shards 2
+CASES
 scripts/benchguard.sh
