@@ -194,7 +194,7 @@ type PolicyStats struct {
 // consumes no randomness, so installing it everywhere leaves existing
 // experiments byte-identical.
 type PolicyQdisc struct {
-	frames []queuedFrame
+	frames frameRing
 	limit  int
 	spec   PolicySpec
 	avg    float64 // EWMA queue depth, updated per arrival
@@ -226,7 +226,7 @@ func (q *PolicyQdisc) Avg() float64 { return q.avg }
 func (q *PolicyQdisc) Stats() PolicyStats { return q.stats }
 
 func (q *PolicyQdisc) Enqueue(f queuedFrame) bool {
-	qlen := len(q.frames)
+	qlen := q.frames.n
 	// EWMA over instantaneous depth at each arrival. (Classic RED also
 	// decays avg across idle time; arrival-sampled EWMA keeps the hot
 	// path branch-free and is standard in simulators.)
@@ -243,7 +243,7 @@ func (q *PolicyQdisc) Enqueue(f queuedFrame) bool {
 				if q.mark(f.f.Payload) {
 					q.stats.Marks++
 					q.stats.Enqueues++
-					q.frames = append(q.frames, f)
+					q.frames.push(f)
 					return true
 				}
 				q.stats.MarkFails++
@@ -256,21 +256,13 @@ func (q *PolicyQdisc) Enqueue(f queuedFrame) bool {
 		q.count = 0
 	}
 	q.stats.Enqueues++
-	q.frames = append(q.frames, f)
+	q.frames.push(f)
 	return true
 }
 
-func (q *PolicyQdisc) Dequeue() (queuedFrame, bool) {
-	if len(q.frames) == 0 {
-		return queuedFrame{}, false
-	}
-	f := q.frames[0]
-	copy(q.frames, q.frames[1:])
-	q.frames = q.frames[:len(q.frames)-1]
-	return f, true
-}
+func (q *PolicyQdisc) Dequeue() (queuedFrame, bool) { return q.frames.pop() }
 
-func (q *PolicyQdisc) Len() int { return len(q.frames) }
+func (q *PolicyQdisc) Len() int { return q.frames.n }
 
 // RegisterMetrics binds the policy counters into reg under
 // <node>/aqm/<name>. Registering several interfaces of one node is

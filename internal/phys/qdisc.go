@@ -20,9 +20,54 @@ type Qdisc interface {
 	Len() int
 }
 
+// frameRing is a growable circular FIFO of queued frames: push and pop
+// are O(1) at any depth, where shifting a slice down on every pop costs
+// the whole standing queue. A popped slot is zeroed so the ring keeps no
+// reference to a payload that has left the queue (and may since have
+// been released to its pool).
+type frameRing struct {
+	buf  []queuedFrame
+	head int // index of the oldest frame
+	n    int // frames queued
+}
+
+func (r *frameRing) push(f queuedFrame) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	i := r.head + r.n
+	if i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	r.buf[i] = f
+	r.n++
+}
+
+func (r *frameRing) pop() (queuedFrame, bool) {
+	if r.n == 0 {
+		return queuedFrame{}, false
+	}
+	f := r.buf[r.head]
+	r.buf[r.head] = queuedFrame{}
+	r.head++
+	if r.head == len(r.buf) {
+		r.head = 0
+	}
+	r.n--
+	return f, true
+}
+
+// grow doubles the ring, unwrapping its contents to the front.
+func (r *frameRing) grow() {
+	buf := make([]queuedFrame, max(2*len(r.buf), 8))
+	n := copy(buf, r.buf[r.head:])
+	copy(buf[n:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
 // fifoQdisc is a bounded drop-tail FIFO.
 type fifoQdisc struct {
-	frames []queuedFrame
+	frames frameRing
 	limit  int
 }
 
@@ -35,24 +80,16 @@ func NewFIFO(limit int) Qdisc {
 }
 
 func (q *fifoQdisc) Enqueue(f queuedFrame) bool {
-	if len(q.frames) >= q.limit {
+	if q.frames.n >= q.limit {
 		return false
 	}
-	q.frames = append(q.frames, f)
+	q.frames.push(f)
 	return true
 }
 
-func (q *fifoQdisc) Dequeue() (queuedFrame, bool) {
-	if len(q.frames) == 0 {
-		return queuedFrame{}, false
-	}
-	f := q.frames[0]
-	copy(q.frames, q.frames[1:])
-	q.frames = q.frames[:len(q.frames)-1]
-	return f, true
-}
+func (q *fifoQdisc) Dequeue() (queuedFrame, bool) { return q.frames.pop() }
 
-func (q *fifoQdisc) Len() int { return len(q.frames) }
+func (q *fifoQdisc) Len() int { return q.frames.n }
 
 // BandStats counts one priority band's traffic.
 type BandStats struct {
@@ -66,7 +103,7 @@ type BandStats struct {
 // tail-drop invisibly, which hides exactly the type-of-service behavior
 // E2 measures.
 type PrioQdisc struct {
-	bands    [][]queuedFrame
+	bands    []frameRing
 	perBand  int
 	classify func(payload []byte) int
 	stats    []BandStats
@@ -83,7 +120,7 @@ func NewPriority(bands, perBand int, classify func(payload []byte) int) *PrioQdi
 		perBand = DefaultQueueLimit
 	}
 	return &PrioQdisc{
-		bands:    make([][]queuedFrame, bands),
+		bands:    make([]frameRing, bands),
 		perBand:  perBand,
 		classify: classify,
 		stats:    make([]BandStats, bands),
@@ -101,22 +138,19 @@ func (q *PrioQdisc) Enqueue(f queuedFrame) bool {
 	if b >= len(q.bands) {
 		b = len(q.bands) - 1
 	}
-	if len(q.bands[b]) >= q.perBand {
+	if q.bands[b].n >= q.perBand {
 		q.stats[b].Drops++
 		return false
 	}
 	q.stats[b].Enqueues++
-	q.bands[b] = append(q.bands[b], f)
+	q.bands[b].push(f)
 	return true
 }
 
 func (q *PrioQdisc) Dequeue() (queuedFrame, bool) {
 	for b := len(q.bands) - 1; b >= 0; b-- {
-		if len(q.bands[b]) > 0 {
-			f := q.bands[b][0]
-			copy(q.bands[b], q.bands[b][1:])
-			q.bands[b] = q.bands[b][:len(q.bands[b])-1]
-			return f, true
+		if q.bands[b].n > 0 {
+			return q.bands[b].pop()
 		}
 	}
 	return queuedFrame{}, false
@@ -124,8 +158,8 @@ func (q *PrioQdisc) Dequeue() (queuedFrame, bool) {
 
 func (q *PrioQdisc) Len() int {
 	n := 0
-	for _, b := range q.bands {
-		n += len(b)
+	for i := range q.bands {
+		n += q.bands[i].n
 	}
 	return n
 }

@@ -13,6 +13,8 @@
 // slab-allocated chunks and are recycled through a free list when they
 // fire or are stopped, and the pending set is a hand-rolled indexed
 // min-heap so cancellation is O(log n) without container/heap's boxing.
+// Each heap slot carries a copy of its event's (at, seq) key, so a sift
+// compares contiguous slots instead of chasing event pointers.
 // Timer handles are values carrying a generation number, so a stale
 // handle to a recycled event is inert rather than dangerous.
 package sim
@@ -43,16 +45,29 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 // String formats the instant as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// event is a scheduled callback. seq breaks ties so that events scheduled
-// for the same instant run in scheduling order (FIFO), which keeps the
-// simulation deterministic. gen increments every time the event slot is
-// recycled, invalidating Timer handles from earlier uses of the slot.
+// event is a scheduled callback. gen increments every time the event
+// slot is recycled, invalidating Timer handles from earlier uses of the
+// slot.
 type event struct {
-	at    Time
-	seq   uint64
 	gen   uint64
 	fn    func()
 	index int32 // heap index; -1 once removed
+}
+
+// heapEntry is one heap slot: the event's key and the event. seq breaks
+// ties so that events scheduled for the same instant run in scheduling
+// order (FIFO), which keeps the simulation deterministic.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	e   *event
+}
+
+func (a *heapEntry) less(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventSlabSize is how many event slots one slab allocation provides.
@@ -63,7 +78,7 @@ const eventSlabSize = 256
 // makes it deterministic.
 type Kernel struct {
 	now    Time
-	heap   []*event
+	heap   []heapEntry
 	free   []*event
 	seq    uint64
 	rng    *rand.Rand
@@ -137,29 +152,20 @@ func (k *Kernel) release(e *event) {
 
 // --- indexed min-heap --------------------------------------------------------
 
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+func (k *Kernel) heapPush(x heapEntry) {
+	k.heap = append(k.heap, x)
+	k.siftUp(len(k.heap)-1, x)
 }
 
-func (k *Kernel) heapPush(e *event) {
-	e.index = int32(len(k.heap))
-	k.heap = append(k.heap, e)
-	k.siftUp(int(e.index))
-}
-
-// heapPopRoot removes and returns the earliest event.
+// heapPopRoot removes the earliest entry and returns its event.
 func (k *Kernel) heapPopRoot() *event {
-	e := k.heap[0]
+	e := k.heap[0].e
 	last := len(k.heap) - 1
-	k.heap[0] = k.heap[last]
-	k.heap[0].index = 0
-	k.heap[last] = nil
+	x := k.heap[last]
+	k.heap[last] = heapEntry{}
 	k.heap = k.heap[:last]
 	if last > 0 {
-		k.siftDown(0)
+		k.siftDown(0, x)
 	}
 	e.index = -1
 	return e
@@ -169,55 +175,55 @@ func (k *Kernel) heapPopRoot() *event {
 func (k *Kernel) heapRemove(e *event) {
 	i := int(e.index)
 	last := len(k.heap) - 1
-	if i != last {
-		k.heap[i] = k.heap[last]
-		k.heap[i].index = int32(i)
-	}
-	k.heap[last] = nil
+	x := k.heap[last]
+	k.heap[last] = heapEntry{}
 	k.heap = k.heap[:last]
 	if i != last {
-		k.siftDown(i)
-		k.siftUp(i)
+		k.siftDown(i, x)
+		k.siftUp(int(x.e.index), x)
 	}
 	e.index = -1
 }
 
-func (k *Kernel) siftUp(i int) {
-	e := k.heap[i]
+// siftUp places x, which belongs at slot i, by moving it toward the
+// root past every parent that sorts after it.
+func (k *Kernel) siftUp(i int, x heapEntry) {
+	h := k.heap
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(e, k.heap[parent]) {
+		if !x.less(&h[parent]) {
 			break
 		}
-		k.heap[i] = k.heap[parent]
-		k.heap[i].index = int32(i)
+		h[i] = h[parent]
+		h[i].e.index = int32(i)
 		i = parent
 	}
-	k.heap[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }
 
-func (k *Kernel) siftDown(i int) {
-	e := k.heap[i]
-	n := len(k.heap)
+// siftDown places x, which belongs at slot i, by moving it toward the
+// leaves past every child that sorts before it.
+func (k *Kernel) siftDown(i int, x heapEntry) {
+	h := k.heap
+	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && eventLess(k.heap[right], k.heap[left]) {
+		if right := child + 1; right < n && h[right].less(&h[child]) {
 			child = right
 		}
-		if !eventLess(k.heap[child], e) {
+		if !h[child].less(&x) {
 			break
 		}
-		k.heap[i] = k.heap[child]
-		k.heap[i].index = int32(i)
+		h[i] = h[child]
+		h[i].e.index = int32(i)
 		i = child
 	}
-	k.heap[i] = e
-	e.index = int32(i)
+	h[i] = x
+	x.e.index = int32(i)
 }
 
 // --- timers ------------------------------------------------------------------
@@ -262,11 +268,9 @@ func (k *Kernel) At(at Time, fn func()) Timer {
 		at = k.now
 	}
 	e := k.alloc()
-	e.at = at
-	e.seq = k.seq
 	e.fn = fn
+	k.heapPush(heapEntry{at: at, seq: k.seq, e: e})
 	k.seq++
-	k.heapPush(e)
 	return Timer{k: k, e: e, gen: e.gen}
 }
 
@@ -288,9 +292,9 @@ func (k *Kernel) Halt() { k.halted = true }
 // its instant. It reports whether an event was executed.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
+		at := k.heap[0].at
 		e := k.heapPopRoot()
 		fn := e.fn
-		at := e.at
 		k.release(e)
 		if fn == nil { // cancelled but not yet removed (defensive)
 			continue

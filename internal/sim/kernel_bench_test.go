@@ -49,3 +49,35 @@ func BenchmarkManyPendingTimers(b *testing.B) {
 		t.Stop()
 	}
 }
+
+// BenchmarkHeapHold is the classic hold model at the pending-set depth
+// measured in the collapse workload (~450 events): each operation pops
+// the earliest event, whose callback schedules one replacement at a
+// random later instant, so the heap stays at constant depth while every
+// sift runs at full height.
+func BenchmarkHeapHold(b *testing.B) {
+	const depth = 450
+	k := NewKernel(1)
+	delays := make([]Duration, 4096)
+	for i := range delays {
+		delays[i] = Duration(k.Rand().Int63n(int64(10 * time.Millisecond)))
+	}
+	next := 0
+	var hold func()
+	hold = func() {
+		k.After(delays[next%len(delays)], hold)
+		next++
+	}
+	for i := 0; i < depth; i++ {
+		hold()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	if k.PendingEvents() != depth {
+		b.Fatalf("%d events pending, want %d", k.PendingEvents(), depth)
+	}
+}

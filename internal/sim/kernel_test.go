@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -209,5 +210,82 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if a.String() != "1.500s" {
 		t.Fatalf("String = %q", a.String())
+	}
+}
+
+// TestKernelFiresInKeyOrder drives the kernel with random At calls (many
+// landing on the same instant or in the past), Defer calls from inside
+// firing events, and Stops of random pending and already-fired timers,
+// and checks every event fires exactly in the order of its (at, seq)
+// key: instant first, then scheduling order. The reference is a plain
+// list of pending keys searched for its minimum.
+func TestKernelFiresInKeyOrder(t *testing.T) {
+	type key struct {
+		at  Time
+		seq uint64
+	}
+	rng := rand.New(rand.NewSource(1))
+	k := NewKernel(1)
+	pending := map[int]key{}
+	timers := map[int]Timer{}
+	var seq uint64
+	fired := -1
+	nextID := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		id := nextID
+		nextID++
+		if at < k.Now() {
+			at = k.Now()
+		}
+		pending[id] = key{at, seq}
+		seq++
+		fn := func() {
+			fired = id
+			if rng.Intn(4) == 0 {
+				schedule(k.Now()) // a Defer from inside an event
+			}
+		}
+		if at == k.Now() && rng.Intn(2) == 0 {
+			timers[id] = k.Defer(fn)
+		} else {
+			timers[id] = k.At(at, fn)
+		}
+	}
+	for step := 0; step < 30000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			// Coarse instants so ties are common; some in the past.
+			schedule(k.Now() + Time(rng.Intn(8)-2)*Time(time.Millisecond))
+		case r < 7 && nextID > 0:
+			id := rng.Intn(nextID)
+			_, want := pending[id]
+			tm := timers[id]
+			if got := tm.Stop(); got != want {
+				t.Fatalf("step %d: Stop(%d) = %v, want %v", step, id, got, want)
+			}
+			delete(pending, id)
+		default:
+			want, wantKey := -1, key{}
+			for id, kk := range pending {
+				if want < 0 || kk.at < wantKey.at || (kk.at == wantKey.at && kk.seq < wantKey.seq) {
+					want, wantKey = id, kk
+				}
+			}
+			fired = -1
+			if ok := k.Step(); ok != (want >= 0) {
+				t.Fatalf("step %d: Step = %v with %d pending", step, ok, len(pending))
+			}
+			if want < 0 {
+				continue
+			}
+			if fired != want || k.Now() != wantKey.at {
+				t.Fatalf("step %d: fired %d at %v, want %d at %v", step, fired, k.Now(), want, wantKey.at)
+			}
+			delete(pending, want)
+		}
+		if k.PendingEvents() != len(pending) {
+			t.Fatalf("step %d: %d events pending, reference has %d", step, k.PendingEvents(), len(pending))
+		}
 	}
 }

@@ -272,3 +272,34 @@ func TestPoolRecyclesForwardBuffers(t *testing.T) {
 		t.Fatalf("buffers in flight after drain: gets=%d puts=%d", after.Gets, after.Puts)
 	}
 }
+
+// BenchmarkRouteLookupSmall measures the linear longest-prefix scan at
+// the size a collapse-workload gateway holds: 24 routes, under the index
+// threshold, behind the node's usable filter (interface up), with the
+// destinations cycling over every route including the default.
+func BenchmarkRouteLookupSmall(b *testing.B) {
+	k := sim.NewKernel(1)
+	n := NewNode(k, "gw")
+	for i := 0; i < 2; i++ {
+		p := ipv4.Prefix{Addr: ipv4.AddrFrom4(192, 168, byte(i), 0), Bits: 24}
+		n.AttachInterface(phys.NewP2P(k, "l", phys.Config{}), p.Host(1), p)
+	}
+	var dsts []ipv4.Addr
+	for i := 0; i < 21; i++ {
+		p := ipv4.Prefix{Addr: ipv4.AddrFrom4(10, byte(i/8), byte(i%8)<<5, 0), Bits: 19}
+		n.Table.Add(Route{Prefix: p, Via: ipv4.AddrFrom4(192, 168, byte(i%2), 2), IfIndex: i % 2, Metric: 1 + i%4, Source: SourceRIP})
+		dsts = append(dsts, p.Host(7))
+	}
+	n.Table.Add(Route{Prefix: ipv4.Prefix{}, Via: ipv4.AddrFrom4(192, 168, 0, 2), Source: SourceStatic})
+	dsts = append(dsts, ipv4.AddrFrom4(172, 16, 0, 1), ipv4.AddrFrom4(192, 168, 1, 9), ipv4.AddrFrom4(192, 168, 0, 9))
+	if got := n.Table.Len(); got != 24 {
+		b.Fatalf("table holds %d routes, want 24", got)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := n.Table.Lookup(dsts[i%len(dsts)]); !ok {
+			b.Fatal("no route")
+		}
+	}
+}

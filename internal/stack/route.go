@@ -251,18 +251,19 @@ func (t *RouteTable) Lookup(dst ipv4.Addr) (Route, bool) {
 		return t.lookupIndexed(dst)
 	}
 	best := -1
-	for i, r := range t.routes {
+	for i := range t.routes {
+		r := &t.routes[i]
 		if !r.Prefix.Contains(dst) {
 			continue
 		}
-		if t.usable != nil && !t.usable(r) {
+		if t.usable != nil && !t.usable(*r) {
 			continue
 		}
 		if best < 0 {
 			best = i
 			continue
 		}
-		b := t.routes[best]
+		b := &t.routes[best]
 		switch {
 		case r.Prefix.Bits != b.Prefix.Bits:
 			if r.Prefix.Bits > b.Prefix.Bits {

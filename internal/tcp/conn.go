@@ -31,13 +31,14 @@ type Conn struct {
 	sndWl1  uint32 // seq of last window update
 	sndWl2  uint32 // ack of last window update
 	sndBuf  []byte // unacked + unsent bytes, starting at sndUna
+	sndMem  []byte // sndBuf's whole backing array, from its front
 	peerMSS int
 
 	finQueued bool // application closed the send side
 	finSent   bool // FIN has occupied sequence space
 
-	// Original transmission boundaries, for the no-repacketization
-	// ablation.
+	// Original transmission boundaries, recorded only for the
+	// no-repacketization ablation (Options.NoRepacketize).
 	sentSegs []sentSeg
 
 	// Receive sequence space.
@@ -154,6 +155,12 @@ func (c *Conn) OnEstablished(fn func()) { c.onEstablished = fn }
 // OnData registers fn to receive in-order stream data. With auto-read on
 // (the default) delivered bytes are consumed immediately and the window
 // stays open.
+//
+// The slice fn receives is valid only while fn runs: with auto-read on
+// it is the arriving segment's payload inside a pooled packet buffer,
+// which is recycled once the segment has been processed. A callback that
+// keeps the bytes must copy them (Write copies them into the send
+// buffer).
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnEOF registers fn to run when the peer closes its send side (FIN).
@@ -233,7 +240,17 @@ func (c *Conn) Write(data []byte) (int, error) {
 	if len(data) > space {
 		data = data[:space]
 	}
+	// Acks slide sndBuf toward the end of its backing array. Once data no
+	// longer fits behind it, move the unacked bytes back to the front
+	// instead of letting append reallocate; grow only when the array is
+	// too small for everything buffered.
+	if n := len(c.sndBuf) + len(data); n > cap(c.sndBuf) && n <= cap(c.sndMem) {
+		c.sndBuf = c.sndMem[:copy(c.sndMem, c.sndBuf)]
+	}
 	c.sndBuf = append(c.sndBuf, data...)
+	if cap(c.sndBuf) > cap(c.sndMem) {
+		c.sndMem = c.sndBuf[:cap(c.sndBuf)]
+	}
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.output()
 	}
@@ -712,10 +729,16 @@ func (c *Conn) admitInOrder(data []byte) {
 	}
 	c.rcvNxt += uint32(len(data))
 	c.stats.BytesReceived += uint64(len(data))
-	c.recvQ = append(c.recvQ, data...)
 	if c.autoRead {
-		c.drainRecvQ()
+		// recvQ fills only while auto-read is off and SetAutoRead(true)
+		// drains it, so it is empty here: the bytes go to the
+		// application without a copy.
+		if c.onData != nil {
+			c.onData(data)
+		}
+		return
 	}
+	c.recvQ = append(c.recvQ, data...)
 }
 
 func (c *Conn) drainRecvQ() {

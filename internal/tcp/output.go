@@ -176,7 +176,9 @@ func (c *Conn) sendData(seq uint32, payload []byte, retrans bool) {
 	c.ackPending = 0
 	c.transmit(&s)
 	if !retrans {
-		c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: len(payload)})
+		if c.opts.NoRepacketize {
+			c.sentSegs = append(c.sentSegs, sentSeg{seq: seq, ln: len(payload)})
+		}
 		if !c.rttPending {
 			c.rttPending = true
 			c.rttSeq = seq + uint32(len(payload))

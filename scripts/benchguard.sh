@@ -15,8 +15,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.txt
-PKGS="./internal/sim/ ./internal/stack/ ./internal/fault/ ./internal/topo/ ./internal/workload/ ./internal/survive/ ./internal/names/"
-PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache'
+PKGS="./internal/sim/ ./internal/phys/ ./internal/stack/ ./internal/fault/ ./internal/topo/ ./internal/workload/ ./internal/survive/ ./internal/names/"
+PATTERN='BenchmarkEventThroughput|BenchmarkTimerChurn|BenchmarkManyPendingTimers|BenchmarkForwardHotPath|BenchmarkSingleHopSend|BenchmarkForwardHotPathIdleInjector|BenchmarkScaleForward|BenchmarkForwardHotPathActiveWorkload|BenchmarkForwardHotPathSurviveCensus|BenchmarkShardedForward|BenchmarkForwardHotPathWithResolverCache|BenchmarkHeapHold|BenchmarkQdiscStanding|BenchmarkRouteLookupSmall'
 
 out=$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime 1000x $PKGS)
 printf '%s\n' "$out"

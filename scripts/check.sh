@@ -24,6 +24,9 @@ else
 fi
 go test -race ./...
 go test -tags pooldebug ./...
+# The benchmark's self-tests: its workloads pass their gates and repeat,
+# and its metric names still match BENCHMARK.json.
+go -C perfbench test -short ./...
 # The crash/restart soak must pass with poisoned pooled buffers: a frame
 # leaked (or double-released) by gateway teardown dies loudly here.
 go test -tags pooldebug -count=1 -run 'TestCrashRestartSoak|TestPartitionHealTransferIntegrity' ./internal/fault/
@@ -35,12 +38,14 @@ go run ./cmd/experiments -only E12 -topo 'waxman:gw=16' > /dev/null
 # E13 smoke: the congestion-collapse sweep through the CLI as a
 # 2-replica campaign, with the -workload flag exercised.
 go run ./cmd/experiments -only E13 -runs 2 -workload 'naive=1,alpha=1.1,min=30000,max=2000000' > /dev/null
-# Codec fuzzers, 10s each (go test takes one -fuzz target at a time).
+# Codec and checksum fuzzers, 10s each (go test takes one -fuzz target at a time).
 go test -run '^$' -fuzz FuzzIPv4HeaderRoundTrip -fuzztime 10s ./internal/ipv4/
 go test -run '^$' -fuzz FuzzTCPSegmentRoundTrip -fuzztime 10s ./internal/tcp/
 go test -run '^$' -fuzz FuzzUDPDatagramRoundTrip -fuzztime 10s ./internal/udp/
 go test -run '^$' -fuzz FuzzRIPMessageRoundTrip -fuzztime 10s ./internal/rip/
 go test -run '^$' -fuzz FuzzNamesMessageRoundTrip -fuzztime 10s ./internal/names/
+# The word-wide Internet checksum against the byte-pair reference.
+go test -run '^$' -fuzz FuzzChecksumEquivalence -fuzztime 10s ./internal/packet/
 # Determinism smokes through the CLI. Each case runs the experiments
 # binary twice with the same arguments and one varying flag, and the
 # named export must be byte-identical across the two: campaign.json is
